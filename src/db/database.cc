@@ -259,6 +259,7 @@ void Database::PublishSnapshot() {
       attr.nix_leaves = tree.leaf_pages();
       attr.nix_internal = tree.internal_pages();
       attr.nix_overflow = tree.overflow_pages();
+      attr.nix_empty_oids = state.nix->empty_set_roster();
     }
     attr.ssf_sig = state.v_ssf_sig;
     attr.ssf_oid = state.v_ssf_oid;

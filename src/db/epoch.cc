@@ -137,7 +137,10 @@ uint64_t EpochManager::RunReclaimers(uint64_t oldest) {
     backlog->Set(static_cast<double>(published - oldest));
   }
   uint64_t freed = 0;
-  for (const ReclaimFn& fn : fns) freed += fn(oldest);
+  {
+    std::lock_guard<std::mutex> lock(reclaim_mu_);
+    for (const ReclaimFn& fn : fns) freed += fn(oldest);
+  }
   total_reclaimed_.fetch_add(freed, std::memory_order_relaxed);
   if (reclaimed != nullptr && freed > 0) reclaimed->Increment(freed);
   return freed;

@@ -145,6 +145,10 @@ class EpochManager {
   Counter* reclaimed_counter_ = nullptr;
   Histogram* pin_us_ = nullptr;
   uint64_t live_pins_ = 0;  // running Σ pins_ values, for the gauge
+  // Serializes reclamation passes: VersionedPageFile::Reclaim allows one
+  // reclaimer at a time, and ReclaimNow() runs on the caller's thread
+  // while the background reclaimer may be mid-pass.
+  std::mutex reclaim_mu_;
   std::thread reclaimer_;
 };
 

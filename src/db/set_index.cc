@@ -206,6 +206,7 @@ void SetIndex::PublishSnapshot() {
     attr.nix_leaves = tree.leaf_pages();
     attr.nix_internal = tree.internal_pages();
     attr.nix_overflow = tree.overflow_pages();
+    attr.nix_empty_oids = nix_->empty_set_roster();
   }
   attr.ssf_sig = v_ssf_sig_;
   attr.ssf_oid = v_ssf_oid_;

@@ -102,10 +102,10 @@ Status BuildAttrViews(const SnapshotAttributeState& attr, uint64_t epoch,
     }
     *nix_view = std::make_unique<EpochReadView>(attr.nix, epoch);
     SIGSET_ASSIGN_OR_RETURN(
-        *nix, NestedIndex::CreateFromExisting(
+        *nix, NestedIndex::CreateReadView(
                   nix_view->get(), attr.nix_fanout, attr.nix_root,
                   attr.nix_height, attr.nix_leaves, attr.nix_internal,
-                  attr.nix_overflow));
+                  attr.nix_overflow, attr.nix_empty_oids));
   }
   return Status::OK();
 }

@@ -2,12 +2,16 @@
 //
 // The writer publishes an immutable SnapshotState with every successful
 // mutation (see EpochManager); a Snapshot pins that epoch and materializes
-// lightweight read-only facility views (SSF/BSSF CreateReadView, NIX
-// CreateFromExisting, ObjectStore over an EpochReadView) that answer queries
-// without ever taking the index's lock.  The page images the views read come
-// from each VersionedPageFile's lock-free version chains, so concurrent
-// writers never perturb a pinned reader's answers — queries at epoch E see
-// exactly the database as of E, bit for bit.
+// lightweight read-only facility views (SSF/BSSF/NIX CreateReadView,
+// ObjectStore over an EpochReadView) that answer queries without ever
+// taking the index's lock.  The views trust the published state — the
+// writer built or validated every structure in process — so opening one
+// checks O(1) bounds and reads at most the NIX root page, whatever the
+// index's size; the full B-tree walk is recovery's (SetIndex/Database::Open).
+// The page images the views read come from each VersionedPageFile's
+// lock-free version chains, so concurrent writers never perturb a pinned
+// reader's answers — queries at epoch E see exactly the database as of E,
+// bit for bit.
 //
 // Concurrency contract: a Snapshot instance belongs to ONE reader thread
 // (its views keep per-snapshot IoStats and are not internally synchronized);
@@ -66,6 +70,9 @@ struct SnapshotAttributeState {
   uint64_t nix_leaves = 0;
   uint64_t nix_internal = 0;
   uint64_t nix_overflow = 0;
+  // The NIX ∅ roster as of the epoch (ascending, never modified: the
+  // writer installs a new vector on every roster change).
+  std::shared_ptr<const std::vector<Oid>> nix_empty_oids;
 
   // Versioned files backing the facilities (null when not maintained).
   VersionedPageFile* ssf_sig = nullptr;
@@ -127,6 +134,12 @@ class Snapshot {
   // no other reader's or the writer's I/O).
   IoStats TotalStats() const;
 
+  // The pinned NIX tree (null without NIX), so tests can run the structural
+  // walk open no longer does.  Its reads charge this snapshot's counters.
+  const BTree* nix_tree_for_testing() const {
+    return nix_ != nullptr ? &nix_->tree() : nullptr;
+  }
+
  private:
   Snapshot(EpochPin pin, MetricsRegistry* metrics, FlightRecorder* recorder);
 
@@ -185,6 +198,13 @@ class DatabaseSnapshot {
                                               const JoinSpec& spec = {});
 
   IoStats TotalStats() const;
+
+  // The pinned NIX tree of attribute `attr` (null without NIX); see
+  // Snapshot::nix_tree_for_testing.
+  const BTree* nix_tree_for_testing(size_t attr) const {
+    const std::unique_ptr<NestedIndex>& nix = attrs_[attr].nix;
+    return nix != nullptr ? &nix->tree() : nullptr;
+  }
 
  private:
   // Per-attribute facility views (mirrors Database::AttributeState).

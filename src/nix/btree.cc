@@ -339,9 +339,10 @@ StatusOr<std::unique_ptr<BTree>> BTree::CreateResetting(PageFile* file,
   return tree;
 }
 
-StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
+StatusOr<std::unique_ptr<BTree>> BTree::OpenRoot(
     PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
-    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages,
+    IoStats* io) {
   if (max_fanout < 2) {
     return Status::InvalidArgument("fanout must be at least 2");
   }
@@ -356,12 +357,22 @@ StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
   tree->overflow_pages_ = overflow_pages;
   // Sanity check: the root page must parse as a node of the right kind.
   Page page;
-  SIGSET_RETURN_IF_ERROR(file->Read(root, &page));
+  SIGSET_RETURN_IF_ERROR(file->Read(root, &page, io));
   uint8_t type = page.ReadAt<uint8_t>(0);
   if ((height == 0 && type != kLeafType) ||
       (height > 0 && type != kInternalType)) {
     return Status::Corruption("recovered root has wrong node type");
   }
+  return tree;
+}
+
+StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
+    PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
+  SIGSET_ASSIGN_OR_RETURN(
+      std::unique_ptr<BTree> tree,
+      OpenRoot(file, max_fanout, root, height, leaf_pages, internal_pages,
+               overflow_pages, &file->stats()));
   // Full structural walk: a crash after the checkpoint can leave the pages
   // ahead of this (stale) metadata; refuse to serve such a tree rather than
   // risk wrong answers.
@@ -369,6 +380,24 @@ StatusOr<std::unique_ptr<BTree>> BTree::CreateFromExisting(
   // Recovery I/O is setup, not an experiment cost.
   file->stats().Reset();
   return tree;
+}
+
+StatusOr<std::unique_ptr<BTree>> BTree::CreateReadView(
+    PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages) {
+  // Shape plausibility, all O(1): one leaf at least, internal levels iff
+  // height > 0 (at least one node per level), and no more tree pages than
+  // the file holds.
+  if (leaf_pages == 0 || (height == 0) != (internal_pages == 0) ||
+      internal_pages < height ||
+      leaf_pages + internal_pages + overflow_pages > file->num_pages()) {
+    return Status::Corruption("published tree shape is implausible");
+  }
+  // The root check is setup, not a query cost: charge it nowhere, so the
+  // view's counters start at zero without a reset.
+  IoStats setup;
+  return OpenRoot(file, max_fanout, root, height, leaf_pages, internal_pages,
+                  overflow_pages, &setup);
 }
 
 // ---- recovery validation ----

@@ -74,6 +74,18 @@ class BTree {
       uint64_t leaf_pages, uint64_t internal_pages,
       uint64_t overflow_pages = 0);
 
+  // Read-only view over a tree whose shape the caller already trusts: the
+  // metadata was published by a writer that built or validated the tree in
+  // process, not read back from a manifest a crash may have left stale.
+  // Checks only O(1) bounds — the root is in range and has the node type
+  // `height` implies, and the page counts fit the file — reading the root
+  // page once and charging it to no counter.  No ValidateStructure() walk:
+  // that is recovery's defense (CreateFromExisting).  Only the read surface
+  // (Lookup, ForEachEntry, ValidateStructure) may be used on the view.
+  static StatusOr<std::unique_ptr<BTree>> CreateReadView(
+      PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+      uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages);
+
   // The current root page id (persisted at checkpoint time).
   PageId root() const { return root_; }
 
@@ -148,6 +160,13 @@ class BTree {
  private:
   BTree(PageFile* file, uint32_t max_fanout)
       : file_(file), max_fanout_(max_fanout) {}
+
+  // The bounds both reopen paths share: fanout, root in range, and a root
+  // page (read once, charged to `*io`) whose node type matches `height`.
+  static StatusOr<std::unique_ptr<BTree>> OpenRoot(
+      PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+      uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages,
+      IoStats* io);
 
   // Recursive insert; sets `*promoted`/`*new_child` when `page_id` split.
   Status InsertRec(PageId page_id, uint64_t key, Oid oid, bool* split,

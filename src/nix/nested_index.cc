@@ -67,20 +67,43 @@ StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::CreateFromExisting(
   // open — query-time consultation is then I/O-free, so the paper-pinned
   // rc·Dq lookup counts are untouched.  This read is setup, like the
   // structural validation above it; reset the counters afterwards.
-  SIGSET_ASSIGN_OR_RETURN(index->empty_oids_,
+  SIGSET_ASSIGN_OR_RETURN(std::vector<Oid> roster,
                           index->tree_->Lookup(kEmptySetKey));
+  index->empty_oids_ =
+      std::make_shared<const std::vector<Oid>>(std::move(roster));
   file->stats().Reset();
   return index;
 }
 
-void NestedIndex::RosterAdd(Oid oid) {
-  auto it = std::lower_bound(empty_oids_.begin(), empty_oids_.end(), oid);
-  if (it == empty_oids_.end() || *it != oid) empty_oids_.insert(it, oid);
+StatusOr<std::unique_ptr<NestedIndex>> NestedIndex::CreateReadView(
+    PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+    uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages,
+    std::shared_ptr<const std::vector<Oid>> empty_roster) {
+  if (empty_roster == nullptr) {
+    return Status::InvalidArgument("read view needs the published roster");
+  }
+  SIGSET_ASSIGN_OR_RETURN(
+      std::unique_ptr<BTree> tree,
+      BTree::CreateReadView(file, max_fanout, root, height, leaf_pages,
+                            internal_pages, overflow_pages));
+  std::unique_ptr<NestedIndex> index(new NestedIndex(std::move(tree)));
+  index->empty_oids_ = std::move(empty_roster);
+  return index;
 }
 
-void NestedIndex::RosterRemove(Oid oid) {
-  auto it = std::lower_bound(empty_oids_.begin(), empty_oids_.end(), oid);
-  if (it != empty_oids_.end() && *it == oid) empty_oids_.erase(it);
+void NestedIndex::UpdateRoster(const std::vector<Oid>& removes,
+                               const std::vector<Oid>& adds) {
+  // Copy, edit, swap: published snapshots keep the vector they hold.
+  auto next = std::make_shared<std::vector<Oid>>(*empty_oids_);
+  for (Oid oid : removes) {
+    auto it = std::lower_bound(next->begin(), next->end(), oid);
+    if (it != next->end() && *it == oid) next->erase(it);
+  }
+  for (Oid oid : adds) {
+    auto it = std::lower_bound(next->begin(), next->end(), oid);
+    if (it == next->end() || *it != oid) next->insert(it, oid);
+  }
+  empty_oids_ = std::move(next);
 }
 
 Status NestedIndex::Insert(Oid oid, const ElementSet& set_value) {
@@ -89,7 +112,7 @@ Status NestedIndex::Insert(Oid oid, const ElementSet& set_value) {
     // ∅ writes no real postings; record the OID in the roster (persisted as
     // the sentinel key's posting list) so subset queries can surface it.
     SIGSET_RETURN_IF_ERROR(tree_->Insert(kEmptySetKey, oid));
-    RosterAdd(oid);
+    UpdateRoster({}, {oid});
     return Status::OK();
   }
   for (uint64_t element : set_value) {
@@ -102,7 +125,7 @@ Status NestedIndex::Remove(Oid oid, const ElementSet& set_value) {
   SIGSET_RETURN_IF_ERROR(CheckNoReservedElement(set_value));
   if (set_value.empty()) {
     SIGSET_RETURN_IF_ERROR(tree_->Remove(kEmptySetKey, oid));
-    RosterRemove(oid);
+    UpdateRoster({oid}, {});
     return Status::OK();
   }
   for (uint64_t element : set_value) {
@@ -142,10 +165,7 @@ Status NestedIndex::ApplyBatch(const std::vector<BatchOp>& ops) {
   }
   for (const auto& [key, changes] : by_key) {
     SIGSET_RETURN_IF_ERROR(tree_->Apply(key, changes.adds, changes.removes));
-    if (key == kEmptySetKey) {
-      for (Oid oid : changes.removes) RosterRemove(oid);
-      for (Oid oid : changes.adds) RosterAdd(oid);
-    }
+    if (key == kEmptySetKey) UpdateRoster(changes.removes, changes.adds);
   }
   return Status::OK();
 }
@@ -250,17 +270,17 @@ StatusOr<CandidateResult> NestedIndex::Candidates(QueryKind kind,
           heap.emplace(lists[l][cursor[l]], l);
         }
       }
-      if (kind != QueryKind::kOverlaps && !empty_oids_.empty()) {
+      const std::vector<Oid>& roster = *empty_oids_;
+      if (kind != QueryKind::kOverlaps && !roster.empty()) {
         // ∅ ⊆ Q (and ∅ ⊊ Q) for every non-empty Q, but empty sets write no
         // postings, so the union alone can never surface them — this merge
         // is the actual fix for the empty-set candidate miss.  Roster OIDs
         // appear in no posting list, so the merge stays duplicate-free.
         // kOverlaps excludes them: ∅ shares no element with any query.
         std::vector<Oid> merged;
-        merged.reserve(result.oids.size() + empty_oids_.size());
-        std::merge(result.oids.begin(), result.oids.end(),
-                   empty_oids_.begin(), empty_oids_.end(),
-                   std::back_inserter(merged));
+        merged.reserve(result.oids.size() + roster.size());
+        std::merge(result.oids.begin(), result.oids.end(), roster.begin(),
+                   roster.end(), std::back_inserter(merged));
         result.oids = std::move(merged);
       }
       result.exact = (kind == QueryKind::kOverlaps);
@@ -284,7 +304,6 @@ Status NestedIndex::BulkBuild(const std::vector<Oid>& oids,
   if (oids.size() != sets.size()) {
     return Status::InvalidArgument("oids/sets size mismatch");
   }
-  empty_oids_.clear();
   std::map<uint64_t, std::vector<Oid>> postings;
   std::vector<Oid> roster;
   for (size_t i = 0; i < sets.size(); ++i) {
@@ -297,16 +316,17 @@ Status NestedIndex::BulkBuild(const std::vector<Oid>& oids,
       postings[element].push_back(oids[i]);
     }
   }
+  std::sort(roster.begin(), roster.end());
   if (!roster.empty()) {
     // The sentinel sorts after every real element, so appending it keeps
     // the bulk load's strictly-increasing key order.
-    postings[kEmptySetKey] = std::move(roster);
+    postings[kEmptySetKey] = roster;
   }
+  empty_oids_ = std::make_shared<const std::vector<Oid>>(std::move(roster));
   std::vector<BTreeEntry> entries;
   entries.reserve(postings.size());
   for (auto& [key, oid_list] : postings) {
     std::sort(oid_list.begin(), oid_list.end());
-    if (key == kEmptySetKey) empty_oids_ = oid_list;
     entries.push_back(BTreeEntry{key, std::move(oid_list)});
   }
   return tree_->BulkLoad(entries);

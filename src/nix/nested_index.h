@@ -20,9 +20,12 @@
 // posting list of the reserved key kEmptySetKey = UINT64_MAX (it sorts
 // after every real element value, so bulk loads stay ordered) and mirrored
 // in memory at open, so consulting it at query time costs zero page reads
-// and the paper-pinned rc·Dq counts are unchanged.  Semantics, shared by
-// every facility (the SSF/BSSF get them for free — an all-zero signature
-// passes the T ⊆ Q slice test and resolution confirms):
+// and the paper-pinned rc·Dq counts are unchanged.  The mirror is an
+// immutable vector behind a shared pointer that every roster change
+// replaces, so a snapshot publishes it with its epoch by copying the
+// pointer and a read view never has to look the roster up in the tree.
+// Semantics, shared by every facility (the SSF/BSSF get them for free — an
+// all-zero signature passes the T ⊆ Q slice test and resolution confirms):
 //
 //   kSubset / kProperSubset   ∅ matches every (non-empty) query
 //   kSuperset / kProperSuperset / kOverlaps / kEquals
@@ -38,6 +41,7 @@
 #define SIGSET_NIX_NESTED_INDEX_H_
 
 #include <memory>
+#include <vector>
 
 #include "nix/btree.h"
 #include "sig/facility.h"
@@ -65,6 +69,16 @@ class NestedIndex : public SetAccessFacility {
       PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
       uint64_t leaf_pages, uint64_t internal_pages,
       uint64_t overflow_pages = 0);
+
+  // Read-only view for a snapshot: tree shape and ∅ roster come from the
+  // state the writer published with the epoch (BTree::CreateReadView's O(1)
+  // bounds, no structural walk, no roster lookup), so opening one costs one
+  // uncharged root read whatever the tree's size.  Only the query surface
+  // (Candidates, CandidatesSmartSuperset) may be used.
+  static StatusOr<std::unique_ptr<NestedIndex>> CreateReadView(
+      PageFile* file, uint32_t max_fanout, PageId root, uint32_t height,
+      uint64_t leaf_pages, uint64_t internal_pages, uint64_t overflow_pages,
+      std::shared_ptr<const std::vector<Oid>> empty_roster);
 
   const std::string& name() const override { return name_; }
 
@@ -105,8 +119,12 @@ class NestedIndex : public SetAccessFacility {
   const BTree& tree() const { return *tree_; }
   BTree& mutable_tree() { return *tree_; }
 
-  // The in-memory mirror of the empty-set roster, ascending (tests).
-  const std::vector<Oid>& empty_set_oids() const { return empty_oids_; }
+  // The in-memory mirror of the empty-set roster, ascending, for publishing
+  // with a snapshot epoch.  The pointee is never modified: roster changes
+  // install a new vector.
+  std::shared_ptr<const std::vector<Oid>> empty_set_roster() const {
+    return empty_oids_;
+  }
 
  private:
   explicit NestedIndex(std::unique_ptr<BTree> tree) : tree_(std::move(tree)) {}
@@ -116,14 +134,16 @@ class NestedIndex : public SetAccessFacility {
   // discarded.  Everything query-shaped goes through here.
   StatusOr<std::vector<Oid>> LookupPostings(uint64_t element) const;
 
-  // Roster mirror maintenance (the tree-side sentinel entry is written by
-  // the caller); keeps empty_oids_ sorted.
-  void RosterAdd(Oid oid);
-  void RosterRemove(Oid oid);
+  // Roster mirror maintenance (the tree-side sentinel entries are written
+  // by the caller): installs a sorted copy of the roster with `removes`
+  // taken out and `adds` put in.
+  void UpdateRoster(const std::vector<Oid>& removes,
+                    const std::vector<Oid>& adds);
 
   std::string name_ = "nix";
   std::unique_ptr<BTree> tree_;
-  std::vector<Oid> empty_oids_;
+  std::shared_ptr<const std::vector<Oid>> empty_oids_ =
+      std::make_shared<const std::vector<Oid>>();
 };
 
 }  // namespace sigsetdb

@@ -30,6 +30,7 @@ double Alpha(size_t m) {
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   assert(precision >= 4 && precision <= 16);
   registers_.assign(size_t{1} << precision_, 0);
+  rank_counts_[0] = static_cast<uint32_t>(registers_.size());
 }
 
 void HyperLogLog::Add(uint64_t value) {
@@ -40,18 +41,24 @@ void HyperLogLog::Add(uint64_t value) {
   // an all-zero remainder ranks as its full width + 1.
   int rank = rest == 0 ? (64 - precision_ + 1)
                        : std::countl_zero(rest) + 1;
-  registers_[idx] =
-      std::max(registers_[idx], static_cast<uint8_t>(rank));
+  if (rank > registers_[idx]) Raise(idx, static_cast<uint8_t>(rank));
 }
 
 double HyperLogLog::Estimate() const {
   const double m = static_cast<double>(registers_.size());
+  // Σ 2^-register, bucketed by rank.  Every term and partial sum is a
+  // multiple of 2^-rmax below 2^precision, so the sum is exact — and equal
+  // to the register-order loop bit for bit — whenever precision + rmax <=
+  // 53 (rank 42+ at the default precision: odds ~2^-41 per added value).
+  // Smallest terms first keeps it as accurate as possible beyond that.
   double inverse_sum = 0.0;
-  size_t zeros = 0;
-  for (uint8_t r : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
-    if (r == 0) ++zeros;
+  for (size_t r = kRankBuckets; r-- > 0;) {
+    if (rank_counts_[r] != 0) {
+      inverse_sum += static_cast<double>(rank_counts_[r]) *
+                     std::ldexp(1.0, -static_cast<int>(r));
+    }
   }
+  const size_t zeros = rank_counts_[0];
   double raw = Alpha(registers_.size()) * m * m / inverse_sum;
   // Small-range correction: linear counting while registers remain empty.
   if (raw <= 2.5 * m && zeros > 0) {
@@ -63,12 +70,27 @@ double HyperLogLog::Estimate() const {
 void HyperLogLog::Merge(const HyperLogLog& other) {
   assert(precision_ == other.precision_);
   for (size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
+    if (other.registers_[i] > registers_[i]) Raise(i, other.registers_[i]);
   }
 }
 
 void HyperLogLog::Clear() {
   std::fill(registers_.begin(), registers_.end(), 0);
+  rank_counts_.fill(0);
+  rank_counts_[0] = static_cast<uint32_t>(registers_.size());
+}
+
+bool HyperLogLog::LoadRegisters(const uint8_t* data, size_t len) {
+  if (len != registers_.size()) return false;
+  const size_t max_rank = 64 - static_cast<size_t>(precision_) + 1;
+  if (std::any_of(data, data + len,
+                  [max_rank](uint8_t r) { return r > max_rank; })) {
+    return false;
+  }
+  registers_.assign(data, data + len);
+  rank_counts_.fill(0);
+  for (uint8_t r : registers_) ++rank_counts_[r];
+  return true;
 }
 
 }  // namespace sigsetdb

@@ -5,9 +5,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,9 +21,11 @@
 #include "db/database.h"
 #include "db/set_index.h"
 #include "db/snapshot.h"
+#include "db/synchronized_set_index.h"
 #include "storage/storage_manager.h"
 #include "storage/versioned_page_file.h"
 #include "util/failpoint.h"
+#include "workload/generator.h"
 
 namespace sigsetdb {
 namespace {
@@ -326,7 +333,12 @@ TEST(SetIndexSnapshotTest, ReaderPinnedAcrossChurnSeesTheOldEpoch) {
   for (uint64_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(index->Insert({i * 3, i * 3 + 1, 200 + i}).ok());
   }
+  // The pinned tree stays structurally sound through every step of it (the
+  // walk snapshot open no longer does).
+  ASSERT_NE(snap->nix_tree_for_testing(), nullptr);
+  EXPECT_TRUE(snap->nix_tree_for_testing()->ValidateStructure().ok());
   ASSERT_TRUE(index->Compact().ok());
+  EXPECT_TRUE(snap->nix_tree_for_testing()->ValidateStructure().ok());
 
   // The pinned reader still sees all ten original objects, bit for bit.
   for (const auto& [value, set] : oracle) {
@@ -358,6 +370,7 @@ TEST(SetIndexSnapshotTest, ReaderPinnedAcrossChurnSeesTheOldEpoch) {
   auto fresh = index->GetSnapshot();
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT((*fresh)->epoch(), snap->epoch());
+  EXPECT_TRUE((*fresh)->nix_tree_for_testing()->ValidateStructure().ok());
   EXPECT_EQ((*fresh)->num_objects(), index->num_objects());
   auto live = index->Query(QueryKind::kSuperset, {3, 4});
   auto snap_now = (*fresh)->Query(QueryKind::kSuperset, {3, 4});
@@ -512,6 +525,11 @@ TEST(DatabaseSnapshotTest, PinnedConjunctionSeesTheOldEpoch) {
   ASSERT_TRUE(live_before.ok());
   ASSERT_FALSE(live_before->oids.empty());
   for (Oid oid : live_before->oids) ASSERT_TRUE(db->Delete(oid).ok());
+  for (size_t attr = 0; attr < 2; ++attr) {
+    ASSERT_NE(snap->nix_tree_for_testing(attr), nullptr);
+    EXPECT_TRUE(snap->nix_tree_for_testing(attr)->ValidateStructure().ok())
+        << "attr " << attr;
+  }
   auto live_after = db->Query(conj);
   ASSERT_TRUE(live_after.ok());
   EXPECT_TRUE(live_after->oids.empty());
@@ -532,6 +550,411 @@ TEST(DatabaseSnapshotTest, PinnedConjunctionSeesTheOldEpoch) {
   // Unknown attributes still fail cleanly at the snapshot layer.
   auto bad = snap->Query({{"nope", QueryKind::kSuperset, {1}}});
   EXPECT_FALSE(bad.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot open cost: O(1) in the size of the index.  The views trust the
+// published state, so GetSnapshot() reads the NIX root page and nothing
+// else; the structural walk belongs to recovery and to the tests below.
+// ---------------------------------------------------------------------------
+
+// Page reads every versioned file serves while `open` runs.  Open-time
+// reads are charged to no IoStats (a snapshot's counters start at zero), so
+// they are counted where no reset can hide them: the failpoint registry's
+// evaluation count of the version-chain read site, armed never to fire.
+// The NIX root is the only page an open reads, so this bounds the NIX
+// file's count.
+template <typename Fn>
+uint64_t VersionedReadsDuring(Fn open) {
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  registry.ArmCountdown("versioned.read",
+                        std::numeric_limits<uint64_t>::max());
+  const uint64_t before = registry.HitCount("versioned.read");
+  open();
+  const uint64_t reads = registry.HitCount("versioned.read") - before;
+  registry.DisarmAll();
+  return reads;
+}
+
+std::vector<ElementSet> OpenCostSets(uint64_t n) {
+  return MakeDatabase(WorkloadConfig{static_cast<int64_t>(n), 13000,
+                                     CardinalitySpec::Fixed(10),
+                                     SkewKind::kUniform, 0.99, n});
+}
+
+constexpr uint64_t kOpenCostSizes[] = {1000, 20000};
+
+TEST(SetIndexSnapshotTest, OpenCostIsIndependentOfIndexSize) {
+  std::vector<uint64_t> reads;
+  for (uint64_t n : kOpenCostSizes) {
+    StorageManager storage;
+    SetIndex::Options options;
+    options.maintain_bssf = true;
+    options.maintain_nix = true;
+    options.capacity = 32768;
+    options.enable_snapshots = true;
+    auto created = SetIndex::Create(&storage, "t", options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<SetIndex> index = std::move(*created);
+    const std::vector<ElementSet> sets = OpenCostSets(n);
+    for (size_t i = 0; i < sets.size(); i += 64) {
+      WriteBatch batch;
+      for (size_t j = i; j < std::min(sets.size(), i + 64); ++j) {
+        batch.Insert(sets[j]);
+      }
+      ASSERT_TRUE(index->ApplyBatch(batch).ok());
+    }
+
+    std::unique_ptr<Snapshot> snap;
+    reads.push_back(VersionedReadsDuring([&] {
+      auto pinned = index->GetSnapshot();
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      snap = std::move(*pinned);
+    }));
+    ASSERT_NE(snap, nullptr);
+    const BTree* tree = snap->nix_tree_for_testing();
+    ASSERT_NE(tree, nullptr);
+    // A walk-at-open would have read every one of these pages.
+    EXPECT_GT(tree->total_pages(), n / 100) << "n=" << n;
+    EXPECT_EQ(snap->TotalStats().reads(), 0u) << "open charges no query";
+    EXPECT_TRUE(tree->ValidateStructure().ok()) << "n=" << n;
+  }
+  EXPECT_EQ(reads[0], reads[1]);
+  EXPECT_LE(reads[1], 1u);
+}
+
+TEST(DatabaseSnapshotTest, OpenCostIsIndependentOfDatabaseSize) {
+  std::vector<uint64_t> reads;
+  for (uint64_t n : kOpenCostSizes) {
+    StorageManager storage;
+    Database::Options options;
+    Database::AttributeOptions courses;
+    courses.name = "courses";
+    courses.maintain_bssf = true;
+    courses.maintain_nix = true;
+    Database::AttributeOptions hobbies = courses;
+    hobbies.name = "hobbies";
+    options.attributes = {courses, hobbies};
+    options.capacity = 32768;
+    options.enable_snapshots = true;
+    auto created = Database::Create(&storage, "db", options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<Database> db = std::move(*created);
+    const std::vector<ElementSet> sets = OpenCostSets(n);
+    for (size_t i = 0; i < sets.size(); i += 64) {
+      MultiWriteBatch batch;
+      for (size_t j = i; j < std::min(sets.size(), i + 64); ++j) {
+        batch.Insert({sets[j], sets[sets.size() - 1 - j]});
+      }
+      ASSERT_TRUE(db->ApplyBatch(batch).ok());
+    }
+
+    std::unique_ptr<DatabaseSnapshot> snap;
+    const uint64_t open_reads = VersionedReadsDuring([&] {
+      auto pinned = db->GetSnapshot();
+      ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+      snap = std::move(*pinned);
+    });
+    ASSERT_NE(snap, nullptr);
+    // One root read per attribute's NIX: report it per tree.
+    reads.push_back(open_reads / 2);
+    EXPECT_EQ(open_reads % 2, 0u);
+    EXPECT_EQ(snap->TotalStats().reads(), 0u) << "open charges no query";
+    for (size_t attr = 0; attr < 2; ++attr) {
+      const BTree* tree = snap->nix_tree_for_testing(attr);
+      ASSERT_NE(tree, nullptr);
+      EXPECT_GT(tree->total_pages(), n / 100) << "n=" << n;
+      EXPECT_TRUE(tree->ValidateStructure().ok()) << "n=" << n;
+    }
+  }
+  EXPECT_EQ(reads[0], reads[1]);
+  EXPECT_LE(reads[1], 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The ∅ roster is published with the epoch: a pinned snapshot's subset
+// answers keep exactly the empty-set objects of its epoch, whatever the
+// writer inserts, deletes or batches afterwards.
+// ---------------------------------------------------------------------------
+
+using Oracle = std::map<uint64_t, ElementSet>;
+
+std::vector<uint64_t> SubsetAnswer(const Oracle& oracle, QueryKind kind,
+                                   const ElementSet& query) {
+  std::vector<uint64_t> out;
+  for (const auto& [value, set] : oracle) {
+    const bool subset =
+        std::includes(query.begin(), query.end(), set.begin(), set.end());
+    if (subset && (kind == QueryKind::kSubset || set.size() < query.size())) {
+      out.push_back(value);
+    }
+  }
+  return out;
+}
+
+const ElementSet kRosterQueries[] = {{1, 2, 3, 4}, {2, 9}, {50}};
+
+// Checks every subset-side answer of `snap` against `oracle`, through each
+// facility, and the pinned tree's structure.
+void ExpectSnapshotMatches(Snapshot* snap, const Oracle& oracle,
+                           const std::string& label) {
+  for (const ElementSet& q : kRosterQueries) {
+    for (QueryKind kind : {QueryKind::kSubset, QueryKind::kProperSubset}) {
+      for (PlanMode mode : {PlanMode::kAuto, PlanMode::kForceSsf,
+                            PlanMode::kForceBssf, PlanMode::kForceNix}) {
+        auto result = snap->Query(kind, q, mode);
+        ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+        EXPECT_EQ(SortedValues(result->result.oids),
+                  SubsetAnswer(oracle, kind, q))
+            << label << " kind=" << QueryKindName(kind)
+            << " plan=" << result->plan;
+      }
+    }
+  }
+  EXPECT_TRUE(snap->nix_tree_for_testing()->ValidateStructure().ok())
+      << label;
+}
+
+TEST(SetIndexSnapshotTest, EmptySetRosterIsIsolatedAcrossEpochs) {
+  StorageManager storage;
+  auto created = SetIndex::Create(&storage, "t", SnapshotOptions());
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<SetIndex> index = std::move(*created);
+
+  Oracle oracle;
+  auto insert = [&](const ElementSet& set) {
+    auto oid = index->Insert(set);
+    EXPECT_TRUE(oid.ok());
+    oracle[oid->value()] = set;
+    return *oid;
+  };
+  for (uint64_t i = 0; i < 6; ++i) insert({i + 1, i + 2});
+  const Oid empty_a = insert({});
+  const Oid empty_b = insert({});
+
+  struct Pinned {
+    std::string label;
+    std::unique_ptr<Snapshot> snap;
+    Oracle oracle;
+  };
+  std::vector<Pinned> pinned;
+  auto pin = [&](const std::string& label) {
+    auto snap = index->GetSnapshot();
+    ASSERT_TRUE(snap.ok());
+    pinned.push_back({label, std::move(*snap), oracle});
+  };
+
+  pin("two empties");
+  insert({});  // a third ∅ object
+  pin("after empty insert");
+  ASSERT_TRUE(index->Delete(empty_a).ok());
+  oracle.erase(empty_a.value());
+  pin("after empty delete");
+  WriteBatch batch;
+  batch.Insert({});
+  batch.Insert({2, 3});
+  batch.Delete(empty_b);
+  auto batch_oids = index->ApplyBatch(batch);
+  ASSERT_TRUE(batch_oids.ok());
+  oracle.erase(empty_b.value());
+  oracle[(*batch_oids)[0].value()] = {};
+  oracle[(*batch_oids)[1].value()] = {2, 3};
+  pin("after batch");
+
+  for (Pinned& p : pinned) {
+    ExpectSnapshotMatches(p.snap.get(), p.oracle, p.label);
+  }
+  // Compaction rebuilds the roster from the store; earlier pins keep theirs.
+  ASSERT_TRUE(index->Compact().ok());
+  pin("after compact");
+  for (Pinned& p : pinned) {
+    ExpectSnapshotMatches(p.snap.get(), p.oracle, p.label);
+  }
+}
+
+TEST(DatabaseSnapshotTest, EmptySetRosterIsIsolatedAcrossEpochs) {
+  StorageManager storage;
+  Database::Options options;
+  Database::AttributeOptions courses;
+  courses.name = "courses";
+  courses.maintain_bssf = false;  // NIX only: every courses plan runs on it
+  Database::AttributeOptions hobbies;
+  hobbies.name = "hobbies";
+  hobbies.maintain_bssf = true;
+  hobbies.maintain_nix = false;
+  hobbies.sig = {120, 3};
+  options.attributes = {courses, hobbies};
+  options.capacity = 4096;
+  options.enable_snapshots = true;
+  auto created = Database::Create(&storage, "db", options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Database> db = std::move(*created);
+
+  Oracle oracle;  // the courses attribute
+  auto insert = [&](const ElementSet& set) {
+    auto oid = db->Insert({set, {7}});
+    EXPECT_TRUE(oid.ok());
+    oracle[oid->value()] = set;
+    return *oid;
+  };
+  for (uint64_t i = 0; i < 6; ++i) insert({i + 1, i + 2});
+  const Oid empty_a = insert({});
+  const Oid empty_b = insert({});
+
+  struct Pinned {
+    std::string label;
+    std::unique_ptr<DatabaseSnapshot> snap;
+    Oracle oracle;
+  };
+  std::vector<Pinned> pinned;
+  auto pin = [&](const std::string& label) {
+    auto snap = db->GetSnapshot();
+    ASSERT_TRUE(snap.ok());
+    pinned.push_back({label, std::move(*snap), oracle});
+  };
+  auto check_all = [&] {
+    for (Pinned& p : pinned) {
+      for (const ElementSet& q : kRosterQueries) {
+        for (QueryKind kind :
+             {QueryKind::kSubset, QueryKind::kProperSubset}) {
+          auto result = p.snap->Query({{"courses", kind, q}});
+          ASSERT_TRUE(result.ok()) << p.label;
+          EXPECT_EQ(SortedValues(result->oids), SubsetAnswer(p.oracle, kind, q))
+              << p.label << " kind=" << QueryKindName(kind)
+              << " driver=" << result->driver;
+        }
+      }
+      EXPECT_TRUE(p.snap->nix_tree_for_testing(0)->ValidateStructure().ok())
+          << p.label;
+    }
+  };
+
+  pin("two empties");
+  insert({});
+  pin("after empty insert");
+  ASSERT_TRUE(db->Delete(empty_a).ok());
+  oracle.erase(empty_a.value());
+  pin("after empty delete");
+  MultiWriteBatch batch;
+  batch.Insert({{}, {7}});
+  batch.Insert({{2, 3}, {7}});
+  batch.Delete(empty_b);
+  auto batch_oids = db->ApplyBatch(batch);
+  ASSERT_TRUE(batch_oids.ok());
+  oracle.erase(empty_b.value());
+  oracle[(*batch_oids)[0].value()] = {};
+  oracle[(*batch_oids)[1].value()] = {2, 3};
+  pin("after batch");
+  check_all();
+  ASSERT_TRUE(db->Compact().ok());
+  pin("after compact");
+  check_all();
+}
+
+// The roster pointer crosses from the writer to lock-free readers: readers
+// pin epochs while the writer toggles ∅ objects singly and in batches, and
+// every pinned subset answer must equal the oracle at its epoch.  Run under
+// TSan by tools/run_sanitizers.sh snapshots and the CI snapshot step.
+TEST(SetIndexSnapshotTest, EmptySetRosterIsolatedUnderConcurrentReaders) {
+  StorageManager storage;
+  auto created = SynchronizedSetIndex::Create(&storage, "t", SnapshotOptions());
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<SynchronizedSetIndex> index = std::move(*created);
+
+  std::mutex history_mu;
+  std::vector<Oracle> history{Oracle{}};  // history[e - 1] = epoch e
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> checks{0};
+  std::mutex errors_mu;
+  std::vector<std::string> errors;
+
+  auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto snap = index->GetSnapshot();
+      if (!snap.ok()) {
+        std::lock_guard<std::mutex> lock(errors_mu);
+        errors.push_back("GetSnapshot: " + snap.status().ToString());
+        return;
+      }
+      const uint64_t epoch = (*snap)->epoch();
+      Oracle oracle;
+      while (true) {
+        {
+          std::lock_guard<std::mutex> lock(history_mu);
+          if (history.size() >= epoch) {
+            oracle = history[epoch - 1];
+            break;
+          }
+        }
+        if (done.load(std::memory_order_acquire)) return;
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      for (const ElementSet& q : kRosterQueries) {
+        for (PlanMode mode : {PlanMode::kForceNix, PlanMode::kForceBssf}) {
+          auto result = (*snap)->Query(QueryKind::kSubset, q, mode);
+          if (!result.ok() ||
+              SortedValues(result->result.oids) !=
+                  SubsetAnswer(oracle, QueryKind::kSubset, q)) {
+            std::lock_guard<std::mutex> lock(errors_mu);
+            errors.push_back("epoch " + std::to_string(epoch) + " plan " +
+                             (result.ok() ? result->plan : "failed"));
+            return;
+          }
+        }
+      }
+      checks.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
+
+  Oracle oracle;
+  std::vector<Oid> empties;
+  auto publish = [&] {
+    std::lock_guard<std::mutex> lock(history_mu);
+    history.push_back(oracle);
+  };
+  // The writer runs in a lambda so a failed ASSERT still joins the readers.
+  auto write = [&] {
+    for (int round = 0; round < 40; ++round) {
+      auto oid = index->Insert({});
+      ASSERT_TRUE(oid.ok());
+      oracle[oid->value()] = {};
+      empties.push_back(*oid);
+      publish();
+      auto filler = index->Insert({static_cast<uint64_t>(round % 9) + 1, 50});
+      ASSERT_TRUE(filler.ok());
+      oracle[filler->value()] = {static_cast<uint64_t>(round % 9) + 1, 50};
+      publish();
+      if (round % 3 == 1) {
+        ASSERT_TRUE(index->Delete(empties.front()).ok());
+        oracle.erase(empties.front().value());
+        empties.erase(empties.begin());
+        publish();
+      }
+      if (round % 5 == 4) {
+        WriteBatch batch;
+        batch.Insert({});
+        batch.Delete(empties.back());
+        auto oids = index->ApplyBatch(batch);
+        ASSERT_TRUE(oids.ok());
+        oracle.erase(empties.back().value());
+        empties.pop_back();
+        oracle[(*oids)[0].value()] = {};
+        empties.push_back((*oids)[0]);
+        publish();
+      }
+    }
+  };
+  write();
+  // Let the readers see the final epochs too before stopping them.
+  for (int spin = 0; spin < 2000 && checks.load() < 20; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  for (const std::string& e : errors) ADD_FAILURE() << e;
+  EXPECT_GT(checks.load(), 0u);
 }
 
 }  // namespace

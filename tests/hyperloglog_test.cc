@@ -1,6 +1,9 @@
 #include "util/hyperloglog.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +11,36 @@
 
 namespace sigsetdb {
 namespace {
+
+// The register-order loop Estimate() ran before it kept a rank histogram,
+// kept here as the oracle the histogram sum must match bit for bit.
+double LoopEstimate(const HyperLogLog& hll) {
+  const std::vector<uint8_t>& registers = hll.registers();
+  const double m = static_cast<double>(registers.size());
+  double alpha = 0.7213 / (1.0 + 1.079 / m);
+  if (registers.size() == 16) alpha = 0.673;
+  if (registers.size() == 32) alpha = 0.697;
+  if (registers.size() == 64) alpha = 0.709;
+  double inverse_sum = 0.0;
+  size_t zeros = 0;
+  for (uint8_t r : registers) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    if (r == 0) ++zeros;
+  }
+  double raw = alpha * m * m / inverse_sum;
+  if (raw <= 2.5 * m && zeros > 0) {
+    return m * std::log(m / static_cast<double>(zeros));
+  }
+  return raw;
+}
+
+// Bitwise equality (EXPECT_DOUBLE_EQ would forgive 4 ulps).
+void ExpectBitIdentical(const HyperLogLog& hll, const std::string& what) {
+  const double got = hll.Estimate();
+  const double want = LoopEstimate(hll);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+      << what << ": histogram " << got << " vs loop " << want;
+}
 
 TEST(HyperLogLogTest, EmptyEstimatesZero) {
   HyperLogLog hll(12);
@@ -84,6 +117,60 @@ TEST(HyperLogLogTest, RegisterRoundTrip) {
   // Size mismatch rejected.
   HyperLogLog c(10);
   EXPECT_FALSE(c.LoadRegisters(a.registers().data(), a.registers().size()));
+}
+
+TEST(HyperLogLogTest, HistogramSumMatchesRegisterLoopBitForBit) {
+  for (int precision : {4, 6, 10, 12, 16}) {
+    for (uint64_t seed : {1u, 7u, 42u}) {
+      const std::string tag = "p=" + std::to_string(precision) +
+                              " seed=" + std::to_string(seed);
+      Rng rng(seed * 1000 + static_cast<uint64_t>(precision));
+      HyperLogLog a(precision), b(precision);
+      ExpectBitIdentical(a, tag + " empty");
+      // Seeded adds across the linear-counting and raw ranges.
+      uint64_t added = 0;
+      for (uint64_t target : {1u, 10u, 100u, 1000u, 20000u, 200000u}) {
+        for (; added < target; ++added) a.Add(rng.Next());
+        ExpectBitIdentical(a, tag + " after " + std::to_string(added));
+      }
+      for (int i = 0; i < 5000; ++i) b.Add(rng.NextBelow(30000));
+      ExpectBitIdentical(b, tag + " b");
+      a.Merge(b);
+      ExpectBitIdentical(a, tag + " merged");
+      // Reloaded registers up to the largest rank the sum is exact for
+      // (precision + rank <= 53; see HyperLogLog::Estimate).
+      const int max_exact = 53 - precision;
+      std::vector<uint8_t> raw(a.num_registers());
+      for (uint8_t& r : raw) {
+        r = static_cast<uint8_t>(rng.NextBelow(max_exact + 1));
+      }
+      HyperLogLog c(precision);
+      ASSERT_TRUE(c.LoadRegisters(raw.data(), raw.size()));
+      ExpectBitIdentical(c, tag + " random registers");
+      ASSERT_TRUE(c.LoadRegisters(a.registers().data(), a.num_registers()));
+      ExpectBitIdentical(c, tag + " reloaded");
+      EXPECT_EQ(c.Estimate(), a.Estimate());
+      for (int i = 0; i < 3000; ++i) c.Add(rng.Next());
+      ExpectBitIdentical(c, tag + " reloaded then added");
+      c.Clear();
+      ExpectBitIdentical(c, tag + " cleared");
+      EXPECT_EQ(c.Estimate(), 0.0);
+    }
+  }
+}
+
+TEST(HyperLogLogTest, LoadRegistersRejectsRanksAddCannotProduce) {
+  HyperLogLog hll(12);
+  std::vector<uint8_t> raw(hll.num_registers(), 3);
+  raw[17] = 64 - 12 + 1;  // the largest rank Add() can produce
+  EXPECT_TRUE(hll.LoadRegisters(raw.data(), raw.size()));
+  raw[17] = 64 - 12 + 2;
+  EXPECT_FALSE(hll.LoadRegisters(raw.data(), raw.size()));
+  // A rejected load leaves the sketch as it was.
+  raw[17] = 64 - 12 + 1;
+  HyperLogLog same(12);
+  ASSERT_TRUE(same.LoadRegisters(raw.data(), raw.size()));
+  EXPECT_EQ(hll.Estimate(), same.Estimate());
 }
 
 TEST(HyperLogLogTest, PrecisionTradesStateForAccuracy) {

@@ -848,6 +848,16 @@ class ConcurrentSnapshotFuzzTest : public ::testing::Test {
                              std::to_string(snap->epoch()));
         return;
       }
+      // Snapshot open trusts the published tree shape; the structural walk
+      // it no longer does runs here, on every pinned epoch.
+      const Status structure =
+          snap->nix_tree_for_testing()->ValidateStructure();
+      if (!structure.ok()) {
+        Record(r->label, "pinned NIX tree at epoch " +
+                             std::to_string(snap->epoch()) + ": " +
+                             structure.ToString());
+        return;
+      }
       ElementSet probe;
       if (!oracle.empty()) {
         auto it = oracle.begin();
@@ -1048,6 +1058,7 @@ TEST_F(ConcurrentSnapshotFuzzTest, PinnedReadersMatchOracleAtEveryEpoch) {
   // compactions later.
   ASSERT_NE(early, nullptr);
   EXPECT_EQ(early->num_objects(), early_oracle.size());
+  EXPECT_TRUE(early->nix_tree_for_testing()->ValidateStructure().ok());
   ElementSet early_probe = early_oracle.begin()->second;
   for (PlanMode mode :
        {PlanMode::kForceSsf, PlanMode::kForceBssf, PlanMode::kForceNix}) {

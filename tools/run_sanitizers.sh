@@ -111,7 +111,9 @@ case "${1:-all}" in
     # chains with acquire loads, and the reclaimer concurrently frees
     # superseded nodes.  TSan vets the publish/pin/reclaim interleavings
     # (the concurrent differential fuzz drives 10 reader threads through
-    # them); ASan vets the version-chain allocation and reclamation.
+    # them, and epoch_test's EmptySetRoster cases hand the NIX ∅ roster
+    # published with each epoch to concurrent readers); ASan vets the
+    # version-chain allocation and reclamation.
     shift
     run_one thread -R \
       'epoch_test|query_differential_fuzz|synchronized_set_index' "$@"
